@@ -311,8 +311,10 @@ stm::Word DurableTx::load(const stm::Word* addr) {
     const stm::Word val = stm::raw_load(addr);
     const std::uint64_t v2 = o.word.load(std::memory_order_acquire);
     if (v2 == v) {
-      if ((v >> 1) > rv_) extend_or_die();
+      // Enter the read set before extending, so the extension's validate()
+      // also re-checks this read against commits that raced the seqlock.
       read_set_.push_back({&o, v});
+      if ((v >> 1) > rv_) extend_or_die();
       return val;
     }
     v = v2;

@@ -172,8 +172,10 @@ Word SwissTx::load(const Word* addr) {
     const Word val = raw_load(addr);
     const std::uint64_t v2 = o.rver.load(std::memory_order_acquire);
     if (v1 != v2) continue;
-    if ((v1 >> 1) > rv_) extend_or_die();
+    // Enter the read set before extending, so the extension's validate()
+    // also re-checks this read against commits that raced the seqlock.
     read_set_.push_back({&o, v1});
+    if ((v1 >> 1) > rv_) extend_or_die();
     return val;
   }
 }

@@ -108,6 +108,9 @@ TYPED_TEST(StmBasicTest, SnapshotIsolationPairInvariant) {
   });
   std::thread reader([&] {
     stm::TxRunner<typename TypeParam::Tx> r(backend.tx(1), nullptr);
+    // Start only once the writer has committed, so the reads overlap a live
+    // writer instead of racing thread start-up.
+    while (writes.load() == 0) std::this_thread::yield();
     for (int c = 0; c < 3000; ++c) {
       r.run([&](auto& tx) {
         const auto x = a.read(tx);
