@@ -34,10 +34,11 @@ struct Runtime::Impl {
   std::uint64_t id = next_runtime_id.fetch_add(1, std::memory_order_relaxed);
   util::WaitPolicy wait = util::WaitPolicy::kPreemptive;
 
-  // Exactly one backend is live, selected by opts.backend.
+  // Exactly one backend is live, selected by opts.backend.  The durable
+  // backend is a TinyBackend with a commit log, so it runs on the tiny arm.
   std::unique_ptr<stm::TinyBackend> tiny;
   std::unique_ptr<stm::SwissBackend> swiss;
-  std::unique_ptr<durable::DurableBackend> durable;
+  durable::DurableBackend* durable = nullptr;  ///< view into tiny if kDurable
   std::unique_ptr<core::Scheduler> sched;
   runtime::AdaptiveScheduler* adaptive = nullptr;  // view into sched
 
@@ -50,8 +51,6 @@ struct Runtime::Impl {
   std::vector<bool> tid_used;
   std::vector<std::unique_ptr<stm::TxRunner<stm::TinyTx>>> tiny_runners;
   std::vector<std::unique_ptr<stm::TxRunner<stm::SwissTx>>> swiss_runners;
-  std::vector<std::unique_ptr<stm::TxRunner<durable::DurableTx>>>
-      durable_runners;
   // One observability recorder per tid, created with the tid's runner and
   // wired into it (histograms always on; trace ring only when opts.trace).
   // Never resized after construction -- stats()/trace_json() walk it while
@@ -61,12 +60,11 @@ struct Runtime::Impl {
   /// The one place the live backend is branched on for cold-path plumbing:
   /// apply `f` to the concrete backend (the members used -- stats, wait
   /// table, clock -- are shape-identical across backends, so a generic
-  /// lambda covers all three).
+  /// lambda covers both).
   template <typename F>
   decltype(auto) visit_backend(F&& f) const {
     if (tiny != nullptr) return f(*tiny);
-    if (swiss != nullptr) return f(*swiss);
-    return f(*durable);
+    return f(*swiss);
   }
 
   const stm::WriteOracle& oracle() const {
@@ -92,9 +90,12 @@ Runtime::Runtime(RuntimeOptions opts) : impl_(std::make_unique<Impl>()) {
     case core::BackendKind::kSwiss:
       im.swiss = std::make_unique<stm::SwissBackend>(scfg);
       break;
-    case core::BackendKind::kDurable:
-      im.durable = std::make_unique<durable::DurableBackend>(o.durable, scfg);
+    case core::BackendKind::kDurable: {
+      auto d = std::make_unique<durable::DurableBackend>(o.durable, scfg);
+      im.durable = d.get();
+      im.tiny = std::move(d);
       break;
+    }
   }
 
   switch (o.scheduler) {
@@ -131,8 +132,7 @@ Runtime::Runtime(RuntimeOptions opts) : impl_(std::make_unique<Impl>()) {
 
   im.tid_used.assign(o.max_threads, false);
   if (im.tiny != nullptr) im.tiny_runners.resize(o.max_threads);
-  else if (im.swiss != nullptr) im.swiss_runners.resize(o.max_threads);
-  else im.durable_runners.resize(o.max_threads);
+  else im.swiss_runners.resize(o.max_threads);
   im.recorders.resize(o.max_threads);
 }
 
@@ -157,17 +157,10 @@ int Runtime::attach_tid() {
         im.tiny_runners[t] = std::make_unique<stm::TxRunner<stm::TinyTx>>(
             im.tiny->tx(tid), im.sched.get(), &im.opts.retry,
             im.recorders[t].get());
-    } else if (im.swiss != nullptr) {
-      if (im.swiss_runners[t] == nullptr)
-        im.swiss_runners[t] = std::make_unique<stm::TxRunner<stm::SwissTx>>(
-            im.swiss->tx(tid), im.sched.get(), &im.opts.retry,
-            im.recorders[t].get());
-    } else {
-      if (im.durable_runners[t] == nullptr)
-        im.durable_runners[t] =
-            std::make_unique<stm::TxRunner<durable::DurableTx>>(
-                im.durable->tx(tid), im.sched.get(), &im.opts.retry,
-                im.recorders[t].get());
+    } else if (im.swiss_runners[t] == nullptr) {
+      im.swiss_runners[t] = std::make_unique<stm::TxRunner<stm::SwissTx>>(
+          im.swiss->tx(tid), im.sched.get(), &im.opts.retry,
+          im.recorders[t].get());
     }
     return tid;
   }
@@ -230,10 +223,8 @@ void Runtime::run_erased(int tid, BodyFn fn, void* ctx) {
   const auto t = static_cast<std::size_t>(tid);
   if (im.tiny != nullptr) {
     run_on(*im.tiny_runners[t], fn, ctx);
-  } else if (im.swiss != nullptr) {
-    run_on(*im.swiss_runners[t], fn, ctx);
   } else {
-    run_on(*im.durable_runners[t], fn, ctx);
+    run_on(*im.swiss_runners[t], fn, ctx);
   }
 }
 
@@ -269,7 +260,15 @@ stm::ThreadStats Runtime::aggregate_stats() const {
 }
 
 void Runtime::reset_stats() {
-  impl_->visit_backend([](auto& b) { b.reset_stats(); });
+  // Every count stats() reports restarts here; state -- recovery facts, the
+  // regime, the log's sequence numbers -- does not.
+  Impl& im = *impl_;
+  im.visit_backend([](auto& b) { b.reset_stats(); });
+  if (im.durable != nullptr) im.durable->reset_counters();
+  if (im.sched != nullptr) im.sched->reset_stats();
+  std::lock_guard<std::mutex> g(im.tid_mutex);
+  for (const auto& r : im.recorders)
+    if (r != nullptr) r->reset_latency();
 }
 
 std::uint64_t Runtime::snapshot() {

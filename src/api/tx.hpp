@@ -1,6 +1,6 @@
 // api::Tx -- the backend-agnostic view of an in-flight transaction attempt.
 //
-// Thin: four descriptor pointers (exactly one non-null) plus the runner's
+// Thin: three descriptor pointers (exactly one non-null) plus the runner's
 // deferred-action list.  Every accessor is one branch on the tag and a
 // direct (non-virtual) call into the concrete descriptor, so the read/write
 // hot path compiles to the same code as driving the backend directly; the
@@ -26,7 +26,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "durable/backend.hpp"
 #include "replica/tx.hpp"
 #include "stm/actions.hpp"
 #include "stm/swiss.hpp"
@@ -46,14 +45,12 @@ class Tx {
   decltype(auto) dispatch(F&& f) {
     if (tiny_ != nullptr) return f(*tiny_);
     if (swiss_ != nullptr) return f(*swiss_);
-    if (durable_ != nullptr) return f(*durable_);
     return f(*replica_);
   }
   template <typename F>
   decltype(auto) dispatch(F&& f) const {
     if (tiny_ != nullptr) return f(*tiny_);
     if (swiss_ != nullptr) return f(*swiss_);
-    if (durable_ != nullptr) return f(*durable_);
     return f(*replica_);
   }
 
@@ -61,20 +58,15 @@ class Tx {
   /// Views over a live descriptor.  `actions` is the owning runner's
   /// deferred-action list; a null actions pointer (bare descriptor views in
   /// erasure-boundary tests) rejects on_commit/on_abort registration.
+  /// (The durable backend's descriptors are TinyTx.)
   explicit Tx(stm::TinyTx& tx, stm::TxActions* actions = nullptr)
-      : tiny_(&tx), swiss_(nullptr), durable_(nullptr), replica_(nullptr),
-        actions_(actions) {}
+      : tiny_(&tx), swiss_(nullptr), replica_(nullptr), actions_(actions) {}
   explicit Tx(stm::SwissTx& tx, stm::TxActions* actions = nullptr)
-      : tiny_(nullptr), swiss_(&tx), durable_(nullptr), replica_(nullptr),
-        actions_(actions) {}
-  explicit Tx(durable::DurableTx& tx, stm::TxActions* actions = nullptr)
-      : tiny_(nullptr), swiss_(nullptr), durable_(&tx), replica_(nullptr),
-        actions_(actions) {}
+      : tiny_(nullptr), swiss_(&tx), replica_(nullptr), actions_(actions) {}
   /// Read-only view over a follower descriptor (api::ReplicaRuntime):
   /// store/tx_alloc/tx_free raise stm::TxReadOnlyError.
   explicit Tx(replica::ReplicaTx& tx, stm::TxActions* actions = nullptr)
-      : tiny_(nullptr), swiss_(nullptr), durable_(nullptr), replica_(&tx),
-        actions_(actions) {}
+      : tiny_(nullptr), swiss_(nullptr), replica_(&tx), actions_(actions) {}
 
   // ---- typed accessors (the user-facing surface) ----
 
@@ -213,7 +205,6 @@ class Tx {
 
   stm::TinyTx* tiny_;
   stm::SwissTx* swiss_;
-  durable::DurableTx* durable_;
   replica::ReplicaTx* replica_;
   stm::TxActions* actions_;
 };

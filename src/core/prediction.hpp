@@ -115,6 +115,11 @@ class PredictionTracker {
   /// Accuracy over retry transactions only (the ones whose predictions
   /// Shrink actually consumes for serialization decisions).
   const util::OnlineStats& retry_read_accuracy() const { return retry_read_acc_; }
+  void reset_accuracy() {
+    read_acc_ = {};
+    write_acc_ = {};
+    retry_read_acc_ = {};
+  }
 
   // --- introspection (tests, diagnostics; not on the hot path) ---
   /// Whether the fused digest (blocked mode) would admit `addr` to the

@@ -25,6 +25,12 @@ struct SchedStats {
   util::PaddedCounter waits;            ///< blocking waits in before_start
 
   std::uint64_t serialized() const { return serialized_txs.load(); }
+  void reset() {
+    serialized_txs.reset();
+    prediction_uses.reset();
+    prediction_hits.reset();
+    waits.reset();
+  }
 };
 
 /// Base class for all schedulers in this library.
@@ -35,6 +41,9 @@ class Scheduler : public stm::SchedulerHooks {
   const std::string& name() const { return name_; }
   SchedStats& sched_stats() { return stats_; }
   const SchedStats& sched_stats() const { return stats_; }
+  /// Zero the counters reported since the last reset (quiescent callers,
+  /// between measurement phases).  Policy state is kept.
+  virtual void reset_stats() { stats_.reset(); }
 
   /// Number of threads currently waiting for / holding the serialization
   /// lock (Shrink's wait_count; 0 for schedulers without one).

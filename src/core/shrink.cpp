@@ -110,6 +110,13 @@ void ShrinkScheduler::on_cancel(int tid) {
   }
 }
 
+void ShrinkScheduler::reset_stats() {
+  Scheduler::reset_stats();
+  std::lock_guard<std::mutex> g(reg_mutex_);
+  for (auto& t : threads_)
+    if (t) t->pred.reset_accuracy();
+}
+
 util::OnlineStats ShrinkScheduler::aggregate_read_accuracy() const {
   util::OnlineStats all;
   for (const auto& t : threads_)

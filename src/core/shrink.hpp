@@ -116,6 +116,8 @@ class ShrinkScheduler final : public Scheduler {
   util::OnlineStats aggregate_read_accuracy() const;
   util::OnlineStats aggregate_write_accuracy() const;
   util::OnlineStats aggregate_retry_read_accuracy() const;
+  /// Also restarts the Figure-3 accuracy streams.
+  void reset_stats() override;
 
  private:
   struct alignas(util::kCacheLine) ThreadState {

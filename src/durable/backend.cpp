@@ -1,10 +1,8 @@
 #include "durable/backend.hpp"
 
-#include <cassert>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <new>
 #include <stdexcept>
 
 #include "durable/snapshot.hpp"
@@ -18,16 +16,10 @@ constexpr const char* kSnapFile = kSnapFileName;
 }  // namespace
 
 DurableBackend::DurableBackend(DurableOptions opts, stm::StmConfig cfg)
-    : cfg_(cfg),
+    : TinyBackend(cfg),
       opts_(std::move(opts)),
-      log2_orecs_(cfg.log2_orecs),
-      orec_mask_((std::uint64_t{1} << cfg.log2_orecs) - 1),
-      orecs_(std::size_t{1} << cfg.log2_orecs),
-      wait_table_(stm::WaitTableConfig{cfg.log2_wait_buckets,
-                                       cfg.retry_spin_pauses,
-                                       cfg.retry_force_condvar}),
       region_(opts_.region_words),
-      descs_(cfg.max_threads) {
+      thread_logs_(cfg.max_threads) {
   fault_ = opts_.fault ? opts_.fault : FaultPlan::from_env();
   if (opts_.dir.empty()) {
     // Ephemeral mode: real durability machinery, Runtime-lifetime data.
@@ -62,6 +54,7 @@ DurableBackend::DurableBackend(DurableOptions opts, stm::StmConfig cfg)
   changelog_ = std::make_unique<Changelog>(std::move(lcfg), fault_);
   if (opts_.snapshot_every_bytes > 0)
     auto_snap_thread_ = std::thread([this] { auto_snapshot_loop(); });
+  commit_log_ = this;  // from here on, every writing commit takes the tail
 }
 
 DurableBackend::~DurableBackend() {
@@ -113,51 +106,20 @@ void DurableBackend::recover() {
   }
   recovery_.last_ts = std::max(snap.last_ts, scan.last_ts);
   // New commits must stamp records past everything already on disk.
-  clock_.advance_to(recovery_.last_ts);
+  clock().advance_to(recovery_.last_ts);
 }
 
-DurableTx& DurableBackend::tx(int tid) {
-  assert(tid >= 0 && static_cast<std::size_t>(tid) < cfg_.max_threads);
-  if (descs_[tid]) return *descs_[tid];
-  std::lock_guard<std::mutex> g(reg_mutex_);
-  if (!descs_[tid]) descs_[tid] = std::make_unique<DurableTx>(*this, tid);
-  return *descs_[tid];
-}
-
-bool DurableBackend::is_write_locked_by_other(const void* addr,
-                                              int self_tid) const {
-  auto& self = const_cast<DurableBackend*>(this)->orec_of(addr);
-  const std::uint64_t w = self.word.load(std::memory_order_acquire);
-  if ((w & 1) == 0) return false;
-  return DurableTx::owner_of(w)->tid() != self_tid;
-}
-
-stm::ThreadStats DurableBackend::aggregate_stats() const {
-  std::lock_guard<std::mutex> g(reg_mutex_);
-  stm::ThreadStats total;
-  for (const auto& d : descs_)
-    if (d) total += d->stats();
-  return total;
-}
-
-std::vector<std::pair<int, stm::ThreadStats>> DurableBackend::per_thread_stats()
-    const {
-  std::lock_guard<std::mutex> g(reg_mutex_);
-  std::vector<std::pair<int, stm::ThreadStats>> out;
-  for (std::size_t t = 0; t < descs_.size(); ++t)
-    if (descs_[t]) out.emplace_back(static_cast<int>(t), descs_[t]->stats());
-  return out;
-}
-
-void DurableBackend::reset_stats() {
-  std::lock_guard<std::mutex> g(reg_mutex_);
-  for (auto& d : descs_) {
-    if (!d) continue;
-    d->stats() = stm::ThreadStats{};
-    d->ack_hist_ = util::HdrHistogram{};
-    d->acks_ = 0;
+void DurableBackend::reset_counters() {
+  {
+    std::lock_guard<std::mutex> g(logs_mutex_);
+    for (auto& l : thread_logs_) {
+      if (!l) continue;
+      l->ack = util::HdrHistogram{};
+      l->acks = 0;
+    }
   }
-  wait_table_.reset_counters();
+  auto_snapshots_.store(0, std::memory_order_relaxed);
+  changelog_->reset_counters();
 }
 
 std::uint64_t DurableBackend::snapshot() {
@@ -177,7 +139,7 @@ std::uint64_t DurableBackend::snapshot() {
                 " was superseded; refusing to snapshot a directory this "
                 "leader no longer owns");
   }
-  const std::uint64_t ts = clock_.now();
+  const std::uint64_t ts = clock().now();
   const std::string err =
       write_snapshot(dir_ + "/" + kSnapFile, region_, ts, *fault_);
   if (!err.empty()) throw stm::TxDurabilityError(-1, err);
@@ -212,286 +174,77 @@ void DurableBackend::auto_snapshot_loop() {
 
 std::pair<util::HdrHistogram, std::uint64_t> DurableBackend::ack_histogram()
     const {
-  std::lock_guard<std::mutex> g(reg_mutex_);
+  std::lock_guard<std::mutex> g(logs_mutex_);
   util::HdrHistogram hist;
   std::uint64_t acks = 0;
-  for (const auto& d : descs_) {
-    if (!d) continue;
-    hist.merge(d->ack_hist());
-    acks += d->acks();
+  for (const auto& l : thread_logs_) {
+    if (!l) continue;
+    hist.merge(l->ack);
+    acks += l->acks;
   }
   return {hist, acks};
 }
 
-DurableTx::DurableTx(DurableBackend& backend, int tid)
-    : backend_(backend),
-      tid_(tid),
-      epoch_slot_(backend.reclaimer().register_thread()) {
-  read_set_.reserve(1024);
-  locked_orecs_.reserve(256);
-  last_write_addrs_.reserve(256);
-  wait_set_.reserve(1024);
-  redo_.reserve(256);
-  allocs_.reserve(16);
-  frees_.reserve(16);
-}
-
-DurableTx::~DurableTx() {
-  backend_.reclaimer().unregister_thread(epoch_slot_);
-}
-
-void DurableTx::set_scheduler(stm::SchedulerHooks* hooks) {
-  sched_ = hooks;
-  read_hook_ = hooks != nullptr && hooks->wants_read_hook();
-  write_hook_ = hooks != nullptr && hooks->wants_write_hook();
-}
-
-void DurableTx::start() {
-  assert(!active_ && "nested transactions are not supported (flatten them)");
-  active_ = true;
-  ++stats_.attempts;
-  if (sched_ != nullptr)
-    read_hook_ = sched_->wants_read_hook() && sched_->read_hook_active(tid_);
-  status_.store(kRunning, std::memory_order_release);
-  killer_tid_.store(-1, std::memory_order_relaxed);
-  rv_ = backend_.clock().now();
-  read_set_.clear();
-  wlog_.clear();
-  locked_orecs_.clear();
-  allocs_.clear();
-  frees_.clear();
-  backend_.reclaimer().pin(epoch_slot_);
-}
-
-void DurableTx::check_killed() {
-  if (status_.load(std::memory_order_acquire) == kKilled)
-    die(stm::AbortReason::kKilled, killer_tid_.load(std::memory_order_relaxed));
-}
-
-std::uint64_t DurableTx::self_locked_version(const Orec* o) const {
-  for (const auto& lo : locked_orecs_)
-    if (lo.orec == o) return lo.old_word;
-  return ~std::uint64_t{0};
-}
-
-bool DurableTx::validate() const {
-  for (const auto& e : read_set_) {
-    const std::uint64_t w = e.orec->word.load(std::memory_order_acquire);
-    if (w == e.version) continue;
-    if ((w & 1) != 0 && owner_of(w) == this &&
-        self_locked_version(e.orec) == e.version)
-      continue;
-    return false;
+DurableBackend::ThreadLog& DurableBackend::thread_log(int tid) {
+  // Only `tid`'s thread (one at a time, as for its descriptor) creates or
+  // uses its slot, so the unlocked read sees either null or that thread's
+  // own write; the lock orders the creation against ack_histogram() and
+  // reset_counters().
+  auto& slot = thread_logs_[static_cast<std::size_t>(tid)];
+  if (!slot) {
+    std::lock_guard<std::mutex> g(logs_mutex_);
+    slot = std::make_unique<ThreadLog>();
+    slot->redo.reserve(256);
   }
-  return true;
+  return *slot;
 }
 
-void DurableTx::extend_or_die() {
-  const std::uint64_t now = backend_.clock().now();
-  if (!validate()) die(stm::AbortReason::kValidation, -1);
-  rv_ = now;
-  ++stats_.extensions;
+std::shared_lock<std::shared_mutex> DurableBackend::enter(int tid) {
+  // Fail BEFORE any memory effect: the log is poisoned, this write can
+  // never become durable.  The descriptor is still active; TxRunner's
+  // durability catch rolls the attempt back (a cancel) and fires on_abort.
+  if (changelog_->failed())
+    throw stm::TxDurabilityError(tid, changelog_->failure_reason());
+  // Shared snapshot gate: snapshot() excluding this section is what makes
+  // "every commit with ts <= image ts is fully in the image" true.
+  return std::shared_lock<std::shared_mutex>(commit_gate_);
 }
 
-stm::Word DurableTx::load(const stm::Word* addr) {
-  ++stats_.reads;
-  check_killed();
-  if (read_hook_) sched_->on_read(tid_, addr, util::hash_ptr(addr));
-
-  Orec& o = backend_.orec_of(addr);
-  std::uint64_t v = o.word.load(std::memory_order_acquire);
-  for (;;) {
-    if ((v & 1) != 0) {
-      if (owner_of(v) == this) {
-        if (const auto* e = wlog_.find(addr)) return e->value;
-        return stm::raw_load(addr);
-      }
-      die(stm::AbortReason::kReadConflict, owner_of(v)->tid());
-    }
-    const stm::Word val = stm::raw_load(addr);
-    const std::uint64_t v2 = o.word.load(std::memory_order_acquire);
-    if (v2 == v) {
-      // Enter the read set before extending, so the extension's validate()
-      // also re-checks this read against commits that raced the seqlock.
-      read_set_.push_back({&o, v});
-      if ((v >> 1) > rv_) extend_or_die();
-      return val;
-    }
-    v = v2;
-  }
-}
-
-void DurableTx::store(stm::Word* addr, stm::Word value) {
-  ++stats_.writes;
-  check_killed();
-  if (write_hook_) sched_->on_write(tid_, addr);
-
-  const auto hit = wlog_.find_or_slot(addr);
-  if (hit.entry != nullptr) {
-    hit.entry->value = value;
-    return;
-  }
-  Orec& o = backend_.orec_of(addr);
-  std::uint64_t v = o.word.load(std::memory_order_acquire);
-  for (;;) {
-    if ((v & 1) != 0) {
-      if (owner_of(v) == this) break;
-      die(stm::AbortReason::kWriteConflict, owner_of(v)->tid());
-    }
-    if ((v >> 1) > rv_) extend_or_die();
-    if (o.word.compare_exchange_weak(v, my_lock_word(),
-                                     std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-      locked_orecs_.push_back({&o, v});
-      break;
+std::uint64_t DurableBackend::append(
+    int tid, std::span<const stm::WriteLog<stm::TinyOrec>::Entry> writes,
+    std::uint64_t wv) {
+  std::vector<RedoWord>& redo = thread_log(tid).redo;
+  redo.clear();
+  for (const auto& e : writes) {
+    if (region_.contains(e.addr)) {
+      redo.push_back({static_cast<std::uint64_t>(region_.offset_of(e.addr)),
+                      static_cast<std::uint64_t>(e.value)});
     }
   }
-  wlog_.append_at(hit.slot, addr, value, &o, 0);
+  if (redo.empty()) return 0;
+  // Crash-point append.* fires here (crash actions only: the committer
+  // still holds its write locks, where unwinding would be unsafe).
+  fault_->check(FaultPoint::kAppendBefore);
+  const std::uint64_t seq = changelog_->append(redo, wv);
+  fault_->check(FaultPoint::kAppendAfter);
+  // Only group commit makes the committer wait for its fsync.
+  return opts_.sync == SyncMode::kGroupCommit ? seq : 0;
 }
 
-void DurableTx::commit() {
-  check_killed();
-  if (wlog_.empty()) {  // read-only: nothing to persist, ack is vacuous
-    finish(true);
-    return;
-  }
-  Changelog& log = backend_.changelog();
-  if (log.failed()) {
-    // Fail BEFORE any memory effect: the log is poisoned, this write can
-    // never become durable.  The descriptor is still active; TxRunner's
-    // durability catch rolls the attempt back (a cancel) and fires on_abort.
-    throw stm::TxDurabilityError(tid_, log.failure_reason());
-  }
-  std::uint64_t seq = 0;
-  {
-    // Shared snapshot gate around {tick, validate, write-back, enqueue}:
-    // snapshot() excluding this section is what makes "every commit with
-    // ts <= image ts is fully in the image" true.
-    std::shared_lock<std::shared_mutex> gate(backend_.commit_gate_);
-    const std::uint64_t wv = backend_.clock().tick();
-    if (wv != rv_ + 1 && !validate())
-      die(stm::AbortReason::kValidation, -1);
-    redo_.clear();
-    for (const auto& e : wlog_.entries()) {
-      stm::raw_store(e.addr, e.value);
-      if (backend_.region_.contains(e.addr)) {
-        redo_.push_back(
-            {static_cast<std::uint64_t>(backend_.region_.offset_of(e.addr)),
-             static_cast<std::uint64_t>(e.value)});
-      }
-    }
-    // Enqueue while still holding the write locks: transactions that touch
-    // a common word land in the changelog in commit order (crash-point
-    // append.* fires here -- crash actions only).
-    if (!redo_.empty()) {
-      backend_.fault_->check(FaultPoint::kAppendBefore);
-      seq = log.append(redo_, wv);
-      backend_.fault_->check(FaultPoint::kAppendAfter);
-    }
-    const std::uint64_t new_word = wv << 1;
-    for (const auto& lo : locked_orecs_)
-      lo.orec->word.store(new_word, std::memory_order_release);
-    if (backend_.wait_table_.armed()) {
-      for (const auto& lo : locked_orecs_) backend_.wait_table_.mark(lo.orec);
-      backend_.wait_table_.publish();
-    }
-  }
-  finish(true);
-  // The durability acknowledgment: block until the fsync covering our
+void DurableBackend::wait_durable(int tid, std::uint64_t seq) {
+  // The durability acknowledgment: block until the fsync covering the
   // record completes.  TxRunner fires on_commit only after commit()
   // returns, so on_commit IS the post-fsync ack.  Throws
   // TxDurabilityError if the log fails first (fail-stop: the memory commit
-  // above stands, but it was never acknowledged).
-  if (seq != 0 && backend_.opts_.sync == SyncMode::kGroupCommit) {
-    const auto t0 = std::chrono::steady_clock::now();
-    log.wait_durable(seq, tid_);
-    ack_hist_.add(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-    ++acks_;
-  }
-}
-
-void* DurableTx::tx_alloc(std::size_t bytes) {
-  void* p = ::operator new(bytes);
-  allocs_.push_back(p);
-  return p;
-}
-
-void DurableTx::tx_free(void* p) { frees_.push_back(p); }
-
-void DurableTx::restart() { die(stm::AbortReason::kExplicit, -1); }
-
-void DurableTx::cancel() {
-  ++stats_.cancels;
-  finish(false);
-}
-
-void DurableTx::retry_wait(std::int64_t timeout_ns) {
-  assert(active_ && "retry_wait outside a transaction");
-  stm::WaitTable& wt = backend_.wait_table_;
-  ++stats_.retry_waits;
-  wt.register_waiter();
-  wait_set_.clear();
-  for (const auto& e : read_set_) wait_set_.push_back(wt.capture(e.orec));
-  finish(false);
-  if (wait_set_.empty()) {
-    wt.unregister_waiter();
-    throw std::logic_error(
-        "tx.retry(): the attempt read nothing, so no commit could ever wake "
-        "it -- read the condition variables before retrying");
-  }
-  if (validate()) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const stm::WaitTable::WaitResult wr = wt.wait_for(wait_set_, timeout_ns);
-    if (wr.slept) ++stats_.retry_sleeps;
-    if (wr.timed_out) {
-      ++stats_.retry_timeouts;
-      retry_timed_out_ = true;
-    }
-    stats_.retry_wait_ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  }
-  wt.unregister_waiter();
-}
-
-void DurableTx::request_kill(int killer_tid) {
-  killer_tid_.store(killer_tid, std::memory_order_relaxed);
-  std::uint32_t expected = kRunning;
-  status_.compare_exchange_strong(expected, kKilled,
-                                  std::memory_order_acq_rel);
-}
-
-void DurableTx::release_locks_to_old() {
-  for (const auto& lo : locked_orecs_)
-    lo.orec->word.store(lo.old_word, std::memory_order_release);
-}
-
-void DurableTx::finish(bool committed) {
-  if (committed) {
-    ++stats_.commits;
-    for (void* p : frees_) backend_.reclaimer().retire_delete(epoch_slot_, p);
-    allocs_.clear();
-    frees_.clear();
-  } else {
-    release_locks_to_old();
-    wlog_.collect_addrs(last_write_addrs_);
-    for (void* p : allocs_) ::operator delete(p);
-    allocs_.clear();
-    frees_.clear();
-  }
-  backend_.reclaimer().unpin(epoch_slot_);
-  status_.store(kIdle, std::memory_order_release);
-  active_ = false;
-}
-
-void DurableTx::die(stm::AbortReason reason, int enemy_tid) {
-  stats_.record_abort(reason);
-  finish(false);
-  throw stm::TxConflict(reason, enemy_tid);
+  // stands, but it was never acknowledged).
+  ThreadLog& l = thread_log(tid);
+  const auto t0 = std::chrono::steady_clock::now();
+  changelog_->wait_durable(seq, tid);
+  l.ack.add(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count()));
+  ++l.acks;
 }
 
 }  // namespace shrinktm::durable

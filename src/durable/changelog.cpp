@@ -106,7 +106,11 @@ std::uint64_t Changelog::append(std::span<const RedoWord> words,
   ++pending_records_;
   ++counters_.records;
   counters_.payload_words += words.size();
-  writer_cv_.notify_one();
+  // Wake the writer only when it has something new to do: the first record
+  // of a batch ends its idle wait, a full batch ends its linger.  A notify
+  // per record would wake a lingering writer once per append for nothing.
+  if (pending_records_ == 1 || pending_records_ == cfg_.max_batch_records)
+    writer_cv_.notify_one();
   return seq;
 }
 
@@ -121,7 +125,12 @@ void Changelog::flush(int tid) {
   {
     std::lock_guard<std::mutex> g(mu_);
     target = appended_seq_;
-    writer_cv_.notify_one();  // don't let the batch linger a full interval
+    // Cut the pending batch's linger short; the writer clears the flag
+    // when it takes the batch that covers `target`.
+    if (pending_records_ > 0) {
+      flush_requested_ = true;
+      writer_cv_.notify_one();
+    }
   }
   wait_durable(target, tid);
 }
@@ -156,6 +165,11 @@ ChangelogCounters Changelog::counters() const {
   return counters_;
 }
 
+void Changelog::reset_counters() {
+  std::lock_guard<std::mutex> g(mu_);
+  counters_ = ChangelogCounters{};
+}
+
 std::uint64_t Changelog::max_appended_ts() const {
   std::lock_guard<std::mutex> g(mu_);
   return max_appended_ts_;
@@ -174,8 +188,12 @@ void Changelog::writer_loop() {
         pending_records_ < cfg_.max_batch_records) {
       writer_cv_.wait_for(
           lk, std::chrono::microseconds(cfg_.group_commit_interval_us),
-          [&] { return stop_ || pending_records_ >= cfg_.max_batch_records; });
+          [&] {
+            return stop_ || flush_requested_ ||
+                   pending_records_ >= cfg_.max_batch_records;
+          });
     }
+    flush_requested_ = false;
     std::vector<unsigned char> batch;
     batch.swap(pending_);
     const std::uint64_t batch_records = pending_records_;

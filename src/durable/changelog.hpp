@@ -96,6 +96,9 @@ class Changelog {
   std::string failure_reason() const;
 
   ChangelogCounters counters() const;
+  /// Zero the counters (between measurement phases).  The sequence state
+  /// that acknowledgments rest on is not a counter and is kept.
+  void reset_counters();
 
   /// Max commit_ts ever append()ed to this log (0 before the first record).
   /// This is a timestamp that genuinely exists in the file, which makes it
@@ -149,6 +152,7 @@ class Changelog {
   bool failed_ = false;
   std::string fail_reason_;
   bool stop_ = false;
+  bool flush_requested_ = false;  ///< flush() waits: skip the linger
 
   ChangelogCounters counters_;
 

@@ -116,6 +116,8 @@ class ThreadRecorder {
   // ---- snapshots (quiescent, or racy-but-benign) ----
 
   const LatencyHistograms& latency() const { return hist_; }
+  /// Between measurement phases, while the owning thread is quiescent.
+  void reset_latency() { hist_ = LatencyHistograms{}; }
   const TraceRing* ring() const { return ring_.get(); }
 
   static std::uint64_t now_ns() {

@@ -1,10 +1,5 @@
 #include "stm/tiny.hpp"
 
-#include <cassert>
-#include <chrono>
-#include <new>
-#include <stdexcept>
-
 namespace shrinktm::stm {
 
 const char* abort_reason_name(AbortReason r) {
@@ -18,25 +13,9 @@ const char* abort_reason_name(AbortReason r) {
   }
 }
 
-TinyBackend::TinyBackend(StmConfig cfg)
-    : cfg_(cfg),
-      log2_orecs_(cfg.log2_orecs),
-      orec_mask_((std::uint64_t{1} << cfg.log2_orecs) - 1),
-      orecs_(std::size_t{1} << cfg.log2_orecs),
-      wait_table_(WaitTableConfig{cfg.log2_wait_buckets, cfg.retry_spin_pauses,
-                                  cfg.retry_force_condvar}),
-      descs_(cfg.max_threads) {}
+TinyBackend::TinyBackend(StmConfig cfg) : BackendCore(cfg) {}
 
 TinyBackend::~TinyBackend() = default;
-
-TinyTx& TinyBackend::tx(int tid) {
-  assert(tid >= 0 && static_cast<std::size_t>(tid) < cfg_.max_threads);
-  // Fast path: descriptor already created by this thread earlier.
-  if (descs_[tid]) return *descs_[tid];
-  std::lock_guard<std::mutex> g(reg_mutex_);
-  if (!descs_[tid]) descs_[tid] = std::make_unique<TinyTx>(*this, tid);
-  return *descs_[tid];
-}
 
 bool TinyBackend::is_write_locked_by_other(const void* addr, int self_tid) const {
   auto& self = const_cast<TinyBackend*>(this)->orec_of(addr);
@@ -46,96 +25,15 @@ bool TinyBackend::is_write_locked_by_other(const void* addr, int self_tid) const
   return owner->tid() != self_tid;
 }
 
-ThreadStats TinyBackend::aggregate_stats() const {
-  std::lock_guard<std::mutex> g(reg_mutex_);
-  ThreadStats total;
-  for (const auto& d : descs_)
-    if (d) total += d->stats();
-  return total;
-}
-
-std::vector<std::pair<int, ThreadStats>> TinyBackend::per_thread_stats() const {
-  std::lock_guard<std::mutex> g(reg_mutex_);
-  std::vector<std::pair<int, ThreadStats>> out;
-  for (std::size_t t = 0; t < descs_.size(); ++t)
-    if (descs_[t]) out.emplace_back(static_cast<int>(t), descs_[t]->stats());
-  return out;
-}
-
-void TinyBackend::reset_stats() {
-  std::lock_guard<std::mutex> g(reg_mutex_);
-  for (auto& d : descs_)
-    if (d) d->stats() = ThreadStats{};
-  // Keep the wakeup-table counters in phase with the per-thread retry
-  // counters they are reported alongside.
-  wait_table_.reset_counters();
-}
-
-TinyTx::TinyTx(TinyBackend& backend, int tid)
-    : backend_(backend), tid_(tid), epoch_slot_(backend.reclaimer().register_thread()) {
-  // Sized for steady-state STMBench7 transactions: once warm, an attempt
-  // never reallocates any of its sets (clear() keeps capacity).
-  read_set_.reserve(1024);
-  locked_orecs_.reserve(256);
-  last_write_addrs_.reserve(256);
-  wait_set_.reserve(1024);
-  allocs_.reserve(16);
-  frees_.reserve(16);
-}
-
-TinyTx::~TinyTx() { backend_.reclaimer().unregister_thread(epoch_slot_); }
-
-void TinyTx::set_scheduler(SchedulerHooks* hooks) {
-  sched_ = hooks;
-  read_hook_ = hooks != nullptr && hooks->wants_read_hook();
-  write_hook_ = hooks != nullptr && hooks->wants_write_hook();
-}
-
-void TinyTx::start() {
-  assert(!active_ && "nested transactions are not supported (flatten them)");
-  active_ = true;
-  ++stats_.attempts;
-  if (sched_ != nullptr)
-    read_hook_ = sched_->wants_read_hook() && sched_->read_hook_active(tid_);
-  status_.store(kRunning, std::memory_order_release);
-  killer_tid_.store(-1, std::memory_order_relaxed);
-  rv_ = backend_.clock().now();
-  read_set_.clear();
-  wlog_.clear();
-  locked_orecs_.clear();
-  allocs_.clear();
-  frees_.clear();
-  backend_.reclaimer().pin(epoch_slot_);
-}
-
-void TinyTx::check_killed() {
-  if (status_.load(std::memory_order_acquire) == kKilled)
-    die(AbortReason::kKilled, killer_tid_.load(std::memory_order_relaxed));
-}
-
-std::uint64_t TinyTx::self_locked_version(const Orec* o) const {
-  for (const auto& lo : locked_orecs_)
-    if (lo.orec == o) return lo.old_word;
-  return ~std::uint64_t{0};  // not ours: caller treats as validation failure
-}
-
 bool TinyTx::validate() const {
   for (const auto& e : read_set_) {
     const std::uint64_t w = e.orec->word.load(std::memory_order_acquire);
     if (w == e.version) continue;
-    if ((w & 1) != 0 && owner_of(w) == this &&
-        self_locked_version(e.orec) == e.version)
+    if ((w & 1) != 0 && owner_of(w) == this && prior_of(e.orec) == e.version)
       continue;
     return false;
   }
   return true;
-}
-
-void TinyTx::extend_or_die() {
-  const std::uint64_t now = backend_.clock().now();
-  if (!validate()) die(AbortReason::kValidation, -1);
-  rv_ = now;
-  ++stats_.extensions;
 }
 
 Word TinyTx::load(const Word* addr) {
@@ -208,10 +106,19 @@ void TinyTx::commit() {
     finish(true);
     return;
   }
+  // The durable tail, if any: the shared snapshot gate spans tick,
+  // validate, write-back, append and release.  A validation abort unwinds
+  // through `gate`, so the die path releases it too.
+  CommitLog* const log = backend_.commit_log_;
+  std::shared_lock<std::shared_mutex> gate;
+  if (log != nullptr) gate = log->enter(tid_);
   const std::uint64_t wv = backend_.clock().tick();
   // If no other writer committed since our snapshot, validation is vacuous.
   if (wv != rv_ + 1 && !validate()) die(AbortReason::kValidation, -1);
   for (const auto& e : wlog_.entries()) raw_store(e.addr, e.value);
+  // Append while still holding the write locks: transactions that touch a
+  // common word land in the log in commit order.
+  const std::uint64_t seq = log != nullptr ? log->append(tid_, wlog_.entries(), wv) : 0;
   const std::uint64_t new_word = wv << 1;
   for (const auto& lo : locked_orecs_) {
     lo.orec->word.store(new_word, std::memory_order_release);
@@ -220,98 +127,20 @@ void TinyTx::commit() {
   // sleeper re-reads committed data), wake tx.retry() waiters whose read
   // set overlaps this write set.  armed() carries the fence of the
   // lost-wakeup protocol; with no waiters the whole block is fence + load.
-  if (backend_.wait_table_.armed()) {
-    for (const auto& lo : locked_orecs_) backend_.wait_table_.mark(lo.orec);
-    backend_.wait_table_.publish();
+  WaitTable& wt = backend_.wait_table();
+  if (wt.armed()) {
+    for (const auto& lo : locked_orecs_) wt.mark(lo.orec);
+    wt.publish();
   }
+  if (gate.owns_lock()) gate.unlock();
   finish(true);
+  if (seq != 0) log->wait_durable(tid_, seq);
 }
 
-void* TinyTx::tx_alloc(std::size_t bytes) {
-  void* p = ::operator new(bytes);
-  allocs_.push_back(p);
-  return p;
-}
-
-void TinyTx::tx_free(void* p) { frees_.push_back(p); }
-
-void TinyTx::restart() { die(AbortReason::kExplicit, -1); }
-
-void TinyTx::cancel() {
-  ++stats_.cancels;
-  finish(false);
-}
-
-void TinyTx::retry_wait(std::int64_t timeout_ns) {
-  assert(active_ && "retry_wait outside a transaction");
-  WaitTable& wt = backend_.wait_table_;
-  ++stats_.retry_waits;
-  // Protocol order (see stm/wakeup.hpp): register BEFORE capturing tickets
-  // and re-validating, so a committer that misses our registration is
-  // guaranteed visible to the validation below and we rerun instead of
-  // sleeping through its wakeup.
-  wt.register_waiter();
-  wait_set_.clear();
-  for (const auto& e : read_set_) wait_set_.push_back(wt.capture(e.orec));
-  finish(false);  // release locks, free speculative allocations, go idle
-  if (wait_set_.empty()) {
-    wt.unregister_waiter();
-    throw std::logic_error(
-        "tx.retry(): the attempt read nothing, so no commit could ever wake "
-        "it -- read the condition variables before retrying");
-  }
-  // A version moved (or another writer holds a lock) since we read: the
-  // wakeup condition may already hold -- rerun immediately, never sleep.
-  if (validate()) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const WaitTable::WaitResult wr = wt.wait_for(wait_set_, timeout_ns);
-    if (wr.slept) ++stats_.retry_sleeps;
-    if (wr.timed_out) {
-      ++stats_.retry_timeouts;
-      retry_timed_out_ = true;
-    }
-    stats_.retry_wait_ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  }
-  wt.unregister_waiter();
-}
-
-void TinyTx::request_kill(int killer_tid) {
-  killer_tid_.store(killer_tid, std::memory_order_relaxed);
-  std::uint32_t expected = kRunning;
-  status_.compare_exchange_strong(expected, kKilled, std::memory_order_acq_rel);
-}
-
-void TinyTx::release_locks_to_old() {
+void TinyTx::roll_back_locks() {
   for (const auto& lo : locked_orecs_) {
-    lo.orec->word.store(lo.old_word, std::memory_order_release);
+    lo.orec->word.store(lo.prior, std::memory_order_release);
   }
-}
-
-void TinyTx::finish(bool committed) {
-  if (committed) {
-    ++stats_.commits;
-    for (void* p : frees_) backend_.reclaimer().retire_delete(epoch_slot_, p);
-    allocs_.clear();
-    frees_.clear();
-  } else {
-    release_locks_to_old();
-    wlog_.collect_addrs(last_write_addrs_);
-    for (void* p : allocs_) ::operator delete(p);
-    allocs_.clear();
-    frees_.clear();
-  }
-  backend_.reclaimer().unpin(epoch_slot_);
-  status_.store(kIdle, std::memory_order_release);
-  active_ = false;
-}
-
-void TinyTx::die(AbortReason reason, int enemy_tid) {
-  stats_.record_abort(reason);
-  finish(false);
-  throw TxConflict(reason, enemy_tid);
 }
 
 }  // namespace shrinktm::stm

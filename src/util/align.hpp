@@ -36,6 +36,7 @@ struct alignas(kCacheLine) PaddedCounter {
   std::uint64_t load(std::memory_order o = std::memory_order_relaxed) const {
     return value.load(o);
   }
+  void reset() { value.store(0, std::memory_order_relaxed); }
 };
 
 }  // namespace shrinktm::util

@@ -86,6 +86,15 @@ class StmBench7 {
 
   std::size_t live_parts() const { return part_index_.unsafe_size(); }
 
+  /// Composite key for the build-date index: (date, id) packed so that
+  /// entries are unique while remaining date-ordered.  Ids stay below 2^40
+  /// (SM1's largest, for tid 127, is about 1.3e11) and dates below 1000,
+  /// so the packing is injective.
+  static constexpr std::int64_t kDateKeyIdSpan = std::int64_t{1} << 40;
+  static std::int64_t date_key(std::int64_t date, std::uint64_t id) {
+    return date * kDateKeyIdSpan + static_cast<std::int64_t>(id);
+  }
+
  private:
   struct AtomicPart;
   struct CompositePart;
@@ -123,12 +132,6 @@ class StmBench7 {
     std::vector<BaseAssembly*> bases;        // leaves only
   };
 
-  /// Composite key for the build-date index: (date, id) packed so that
-  /// entries are unique while remaining date-ordered.
-  static std::int64_t date_key(std::int64_t date, std::uint64_t id) {
-    return date * (1 << 20) + static_cast<std::int64_t>(id % (1 << 20));
-  }
-
   std::uint64_t random_cpart_id(util::Xoshiro256& rng) const {
     return cparts_[rng.next_below(cparts_.size())]->id;
   }
@@ -159,6 +162,14 @@ class StmBench7 {
   bool remove_part(Tx& tx, CompositePart* cp, util::Xoshiro256& rng);
   template <typename Tx>
   bool touch_date(Tx& tx, std::uint64_t id, std::int64_t new_date);
+
+  /// Enter `p` in the build-date index.  Keys are unique per live part, so
+  /// a refused insert means the two indices would diverge: throw instead.
+  template <typename Tx>
+  void index_date(Tx& tx, std::int64_t date, AtomicPart* p) {
+    if (!date_index_.insert(tx, date_key(date, p->id), p))
+      throw std::logic_error("stmbench7: duplicate build-date key");
+  }
 
   static constexpr std::size_t kMaxTid = 128;
 
@@ -245,7 +256,7 @@ void StmBench7::setup(Runner& r) {
         parts.push_back(p);
         cp->slots[static_cast<std::size_t>(i)].write(tx, p);
         part_index_.insert(tx, static_cast<std::int64_t>(p->id), p);
-        date_index_.insert(tx, date_key(date, p->id), p);
+        index_date(tx, date, p);
       }
       // Ring + chords: every part reachable, degree = cfg_.connections.
       const int n = static_cast<int>(parts.size());
@@ -352,7 +363,7 @@ bool StmBench7::add_part(Tx& tx, CompositePart* cp, std::uint64_t id,
   if (!part_index_.insert(tx, static_cast<std::int64_t>(id), p)) {
     tx.restart();  // duplicate id: caller's id scheme guarantees this not to
   }
-  date_index_.insert(tx, date_key(date, id), p);
+  index_date(tx, date, p);
   cp->slots[static_cast<std::size_t>(n)].write(tx, p);
   cp->nparts.write(tx, n + 1);
   // Link into the graph: new part points at an existing part and one
@@ -400,7 +411,7 @@ bool StmBench7::touch_date(Tx& tx, std::uint64_t id, std::int64_t new_date) {
   const auto old_date = p->build_date.read(tx);
   date_index_.erase(tx, date_key(old_date, p->id));
   p->build_date.write(tx, new_date);
-  date_index_.insert(tx, date_key(new_date, p->id), p);
+  index_date(tx, new_date, p);
   return true;
 }
 

@@ -10,6 +10,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -18,8 +20,11 @@
 #include <vector>
 
 #include "api/shrinktm.hpp"
+#include "durable/backend.hpp"
+#include "durable/changelog.hpp"
 #include "durable/log_format.hpp"
 #include "durable/log_reader.hpp"
+#include "stm/runner.hpp"
 
 namespace shrinktm {
 namespace {
@@ -512,6 +517,154 @@ TEST(Durable, RetryParksAndWakesOnDurableBackend) {
   EXPECT_TRUE(s.conserved());
   EXPECT_GE(s.retry_waits, 1u);
   EXPECT_GE(s.retry_notifies, 1u);
+}
+
+// ------------------------------------------- the commit tail on TinyTx
+
+TEST(Durable, ValidationDeathInsideTheGateReleasesIt) {
+  // A reads x, B commits x, then A writes a region word and commits: A's
+  // validation fails inside the gated section.  The die path must release
+  // the gate (or snapshot() blocks forever) and must log nothing of A's.
+  durable::DurableBackend backend;
+  stm::Word* x = backend.region().word(3);
+  stm::Word* y = backend.region().word(5);
+  stm::TinyTx& a = backend.tx(0);
+  a.start();
+  EXPECT_EQ(a.load(x), 0);
+  {
+    stm::TxRunner<stm::TinyTx> b(backend.tx(1), nullptr);
+    b.run([&](stm::TinyTx& tx) { tx.store(x, 7); });
+  }
+  a.store(y, 9);
+  try {
+    a.commit();
+    FAIL() << "A committed over B's write to x";
+  } catch (const stm::TxConflict& c) {
+    EXPECT_EQ(c.reason(), stm::AbortReason::kValidation);
+  }
+  EXPECT_FALSE(a.in_tx());
+  EXPECT_EQ(*y, 0) << "the doomed attempt wrote back";
+
+  backend.changelog().flush(-1);
+  durable::LogReader reader({backend.dir() + "/" + durable::kLogFileName, 4096});
+  durable::LogReader::Record rec;
+  ASSERT_EQ(reader.next(rec), durable::LogReader::Status::kRecord);
+  ASSERT_EQ(rec.count, 1u);
+  EXPECT_EQ(rec.words[0].offset, 3u);
+  EXPECT_EQ(rec.words[0].value, 7u);
+  EXPECT_EQ(reader.next(rec), durable::LogReader::Status::kEnd)
+      << "the log holds more than B's record";
+
+  // A gate leaked by the die path would block this forever: watch it from
+  // here and fail loudly instead of hanging the suite.
+  std::atomic<bool> done{false};
+  std::thread snap([&] {
+    backend.snapshot();
+    done = true;
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  if (!done) {
+    std::fprintf(stderr, "snapshot() still blocked after 10 s: gate leaked\n");
+    std::_Exit(1);
+  }
+  snap.join();
+}
+
+TEST(Changelog, FlushCutsTheLingerShort) {
+  // A 2 s group-commit linger must not delay an explicit flush.
+  TempDir dir;
+  durable::Changelog::Config cfg;
+  cfg.path = dir.path + "/" + durable::kLogFileName;
+  cfg.group_commit_interval_us = 2'000'000;
+  cfg.fsync = false;
+  durable::Changelog log(cfg, nullptr);
+  const durable::RedoWord w{0, 1};
+  log.append({&w, 1}, 1);
+  const auto t0 = std::chrono::steady_clock::now();
+  log.flush(-1);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  EXPECT_EQ(log.counters().batches, 1u);
+}
+
+TEST(Durable, ResetStatsZeroesEveryReportedCount) {
+  TempDir dir;
+  {  // a previous generation, so the runtime below has recovery facts
+    api::Runtime pre(durable_opts(dir.path));
+    api::ThreadHandle th = pre.attach();
+    auto v = pre.durable_region()->slot<std::int64_t>(0);
+    atomically(th, [&](api::Tx& tx) { tx.write(v, std::int64_t{100}); });
+  }
+  api::Runtime rt(durable_opts(dir.path)
+                      .with_scheduler(core::SchedulerKind::kShrink)
+                      .with_track_accuracy(true));
+  constexpr int kThreads = 4;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      api::ThreadHandle th = rt.attach();
+      auto hot = rt.durable_region()->slot<std::int64_t>(0);
+      auto own = rt.durable_region()->slot<std::int64_t>(1 + t);
+      for (int i = 0; i < 300; ++i) {
+        atomically(th, [&](api::Tx& tx) {
+          tx.write(hot, tx.read(hot) + 1);
+          tx.write(own, tx.read(own) + 1);
+        });
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const api::RuntimeStats warm = rt.stats();
+  ASSERT_GT(warm.commits, 0u);
+  ASSERT_GT(warm.durable.log_records, 0u);
+  ASSERT_GT(warm.durable.acks, 0u);
+  ASSERT_GT(warm.latency.commit.total(), 0u);
+  ASSERT_GE(warm.read_accuracy, 0.0) << "Shrink tracked no accuracy";
+  ASSERT_EQ(warm.durable.recovered_records, 1u);
+
+  rt.reset_stats();
+  const api::RuntimeStats s = rt.stats();
+  EXPECT_EQ(s.attempts, 0u);
+  EXPECT_EQ(s.commits, 0u);
+  EXPECT_EQ(s.aborts, 0u);
+  EXPECT_EQ(s.cancels, 0u);
+  EXPECT_EQ(s.retry_waits, 0u);
+  EXPECT_EQ(s.reads, 0u);
+  EXPECT_EQ(s.writes, 0u);
+  EXPECT_EQ(s.extensions, 0u);
+  for (const auto n : s.aborts_by_reason) EXPECT_EQ(n, 0u);
+  EXPECT_EQ(s.retry_notifies, 0u);
+  EXPECT_EQ(s.retry_wakeups, 0u);
+  EXPECT_EQ(s.serialized, 0u);
+  EXPECT_EQ(s.sched_waits, 0u);
+  EXPECT_LT(s.read_accuracy, 0.0) << "accuracy streams kept warm-up samples";
+  EXPECT_LT(s.write_accuracy, 0.0);
+  EXPECT_LT(s.retry_read_accuracy, 0.0);
+  EXPECT_EQ(s.latency.commit.total(), 0u);
+  EXPECT_EQ(s.latency.abort_gap.total(), 0u);
+  EXPECT_EQ(s.latency.park.total(), 0u);
+  EXPECT_EQ(s.latency.serialized.total(), 0u);
+  EXPECT_EQ(s.durable.log_records, 0u);
+  EXPECT_EQ(s.durable.log_bytes, 0u);
+  EXPECT_EQ(s.durable.batches, 0u);
+  EXPECT_EQ(s.durable.fsyncs, 0u);
+  EXPECT_EQ(s.durable.max_batch_records, 0u);
+  EXPECT_EQ(s.durable.acks, 0u);
+  EXPECT_EQ(s.durable.ack.total(), 0u);
+  EXPECT_EQ(s.durable.auto_snapshots, 0u);
+  // Recovery facts and the log's sequence state are not counts: a commit
+  // after the reset is still acknowledged and counted from zero.
+  EXPECT_EQ(s.durable.recovered_records, 1u);
+  {
+    api::ThreadHandle th = rt.attach();
+    auto hot = rt.durable_region()->slot<std::int64_t>(0);
+    atomically(th, [&](api::Tx& tx) { tx.write(hot, tx.read(hot) + 1); });
+  }
+  const api::RuntimeStats after = rt.stats();
+  EXPECT_EQ(after.commits, 1u);
+  EXPECT_EQ(after.durable.log_records, 1u);
+  EXPECT_EQ(after.durable.acks, 1u);
 }
 
 // ----------------------------------------------------- LogReader itself

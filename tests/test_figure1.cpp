@@ -9,6 +9,7 @@
 //     wastes parallelism.
 #include <gtest/gtest.h>
 
+#include "durable/backend.hpp"
 #include "stm/runner.hpp"
 #include "stm/swiss.hpp"
 #include "stm/tiny.hpp"
@@ -20,7 +21,8 @@ namespace {
 template <typename Backend>
 class Figure1Test : public ::testing::Test {};
 
-using Backends = ::testing::Types<stm::TinyBackend, stm::SwissBackend>;
+using Backends = ::testing::Types<stm::TinyBackend, stm::SwissBackend,
+                                  durable::DurableBackend>;
 TYPED_TEST_SUITE(Figure1Test, Backends);
 
 template <typename T>

@@ -1,10 +1,12 @@
-// Basic single- and multi-threaded correctness of both STM backends.
+// Basic single- and multi-threaded correctness of every STM backend (the
+// durable one runs TinyTx behind its commit-log tail).
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
 #include "api/tx.hpp"
+#include "durable/backend.hpp"
 #include "stm/runner.hpp"
 #include "stm/swiss.hpp"
 #include "stm/tiny.hpp"
@@ -18,7 +20,8 @@ namespace {
 template <typename Backend>
 class StmBasicTest : public ::testing::Test {};
 
-using Backends = ::testing::Types<stm::TinyBackend, stm::SwissBackend>;
+using Backends = ::testing::Types<stm::TinyBackend, stm::SwissBackend,
+                                  durable::DurableBackend>;
 TYPED_TEST_SUITE(StmBasicTest, Backends);
 
 TYPED_TEST(StmBasicTest, ReadYourOwnWrite) {
